@@ -21,6 +21,7 @@ import time
 from typing import Any, Dict, Iterable
 
 from repro.analog.engine import TransientOptions
+from repro.runtime.executor import usable_cores
 from repro.runtime.telemetry import (  # noqa: F401  (re-exported for benches)
     Stopwatch,
     Telemetry,
@@ -79,8 +80,9 @@ def write_bench_json(name: str, payload: Dict[str, Any]) -> str:
 
     ``payload`` carries the bench-specific numbers (wall times, samples/s,
     backend, cache hit rate, deviations...); a small envelope (bench name,
-    unix timestamp, platform) is added so CI artifacts from different runs
-    remain distinguishable.
+    unix timestamp, platform, the host's ``cpu_count`` and the
+    ``usable_cores`` this process may run on) is added so CI artifacts
+    from different runs remain distinguishable.
     """
     os.makedirs(OUT_DIR, exist_ok=True)
     document = {
@@ -88,6 +90,7 @@ def write_bench_json(name: str, payload: Dict[str, Any]) -> str:
         "timestamp": time.time(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
         **payload,
     }
     path = os.path.join(OUT_DIR, f"BENCH_{name}.json")

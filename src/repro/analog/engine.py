@@ -115,17 +115,17 @@ class TransientOptions:
         pass ``("step-halving",)`` for that historical behaviour.
     jacobian_policy:
         ``"reuse"`` (default) enables the modified-Newton factorization
-        cache: a stale Jacobian inverse is reapplied while the update
-        norm keeps contracting (refactoring on slowdown), and
+        cache: a stale Jacobian factorization is reapplied while the
+        update norm keeps contracting (refactoring on slowdown), and
         convergence is accepted on stale iterations too - the
         contraction guard bounds the distance to the full-Newton fixed
         point by a fraction of ``vntol``, far below the local-error
         tolerances.  ``"dense"`` factors on every iteration - the
         reference behaviour the golden-waveform tests compare against.
-        Rescue rungs and the operating-point ladder always run dense.
-        ``"sparse"`` routes the whole run - operating point, plain
-        solves *and* rescue rungs - through the CSR/``SparseLU`` path of
-        :mod:`repro.sparse` with the same modified-Newton reuse policy;
+        Rescue rungs factor on every iteration under any policy.
+        ``"sparse"`` keeps the ``"reuse"`` policy but gives the whole
+        run - operating point, plain solves *and* rescue rungs - the
+        CSR/``SparseLU`` linear algebra of :mod:`repro.sparse`;
         ``"auto"`` picks ``"sparse"`` when the circuit has at least
         :data:`SPARSE_AUTO_NODES` free nodes and ``"reuse"`` otherwise.
     """
@@ -163,6 +163,16 @@ class TransientOptions:
                 f"unknown jacobian_policy {self.jacobian_policy!r} "
                 "(use 'reuse', 'dense', 'sparse' or 'auto')"
             )
+
+    @property
+    def reuses_factorizations(self) -> bool:
+        """Whether Newton solves may reuse a stale factorization.
+
+        Every policy but ``"dense"`` does.  The scalar, sparse and batch
+        engines all read this one predicate, so a single-sample batch
+        takes the scalar engine's decisions under every policy.
+        """
+        return self.jacobian_policy != "dense"
 
 
 @dataclass
@@ -291,26 +301,41 @@ class TransientResult:
 
 
 class _NewtonWork:
-    """Per-run scratch of the Newton loop.
+    """Per-run scratch of the Newton loop, with dense linear algebra.
 
-    Owns the reusable iterate/residual/Jacobian buffers (the hot loop
-    allocates nothing per iteration beyond what LAPACK returns), the
-    cached Jacobian inverse of the modified-Newton policy - keyed on the
-    ``(h, alpha)`` system scaling and persisting *across* time steps, so
-    ``dt_max``-clamped stretches reuse one factorization for many steps -
-    and the :class:`~repro.analog.kernels.KernelStats` counters.
+    Owns the reusable iterate/residual buffers of :func:`_newton_step`,
+    the modified-Newton reuse state - a factorization keyed on the
+    ``(h, alpha)`` system scaling that persists *across* time steps, so
+    ``dt_max``-clamped stretches reuse one factorization for many steps
+    - and the :class:`~repro.analog.kernels.KernelStats` counters.
+
+    The loop reaches the linear algebra only through five operations:
+    :meth:`scale`, :meth:`charge_rows`, :meth:`factor`, :meth:`solve`
+    and :meth:`charge`.  This class implements them densely
+    (``c_einsum`` mat-vecs and a ``raw_inv`` inverse);
+    :class:`repro.sparse.newton.SparseNewtonWork` implements them on a
+    CSR pattern with ``SparseLU``.
     """
-
-    #: Dispatch flag ``_newton_step`` checks; the sparse twin sets True.
-    sparse = False
 
     def __init__(self, circuit: CompiledCircuit, options: TransientOptions) -> None:
         n, nf = circuit.n_total, circuit.n_free
-        self.kernel = circuit.kernel()
-        self.stats = KernelStats()
-        # Only an explicit "dense" disables the factorization cache
-        # ("auto" resolved to the dense family means "reuse").
-        self.modified = options.jacobian_policy != "dense"
+        self._init_loop(circuit, options, circuit.kernel(), KernelStats())
+        self.C = circuit.C
+        self.jac = np.empty((nf, nf))
+        self.j_inv = np.empty((nf, nf))
+        self.c_rows = circuit.C[:nf, :]
+        self.c_over_h = np.empty((nf, n))
+
+    def _init_loop(
+        self, circuit: CompiledCircuit, options: TransientOptions,
+        kernel: object, stats: KernelStats,
+    ) -> None:
+        """State of :func:`_newton_step` shared by every backend."""
+        n, nf = circuit.n_total, circuit.n_free
+        self.n_free = nf
+        self.kernel = kernel
+        self.stats = stats
+        self.modified = options.reuses_factorizations
         self.v = np.empty(n)
         self.qh = np.empty(nf)        # (C_rows / h) @ v scratch
         self.rhs0 = np.empty(nf)      # iteration-invariant residual part
@@ -318,20 +343,13 @@ class _NewtonWork:
         self.delta = np.empty(nf)
         self.tmp = np.empty(nf)
         self.abs_buf = np.empty(nf)
-        self.jac = np.empty((nf, nf))
-        self.j_inv = np.empty((nf, nf))
-        self.c_rows = circuit.C[:nf, :]
-        self.c_over_h = np.empty((nf, n))
         self.h_scaled: Optional[float] = None
         self.valid = False
         self.key: Optional[Tuple[float, float]] = None
-        self.info: Dict[str, object] = {
-            "iterations": 0, "worst_index": None,
-            "worst_residual": None, "nonfinite": False,
-        }
+        self.info: Dict[str, object] = {}
 
-    def scaled_c(self, h: float) -> np.ndarray:
-        """``C[:n_free, :] / h``, recomputed only when ``h`` changes.
+    def scale(self, h: float) -> None:
+        """Refresh ``C[:n_free, :] / h`` when ``h`` changes.
 
         The free-free block (columns ``:n_free``) feeds the Jacobian;
         the full rows turn the per-iteration charge term into a single
@@ -340,14 +358,49 @@ class _NewtonWork:
         if self.h_scaled != h:
             np.multiply(self.c_rows, 1.0 / h, out=self.c_over_h)
             self.h_scaled = h
-        return self.c_over_h
 
-    def note_worst(self, n_free: int, iterations: int) -> Dict[str, object]:
+    def charge_rows(self, v: np.ndarray, out: np.ndarray) -> None:
+        """``(C / h)[:n_free] @ v`` at the last :meth:`scale`."""
+        c_einsum("ij,j->i", self.c_over_h, v, out=out)
+
+    def factor(self, j: np.ndarray, alpha: float, shunt: float) -> None:
+        """Factor ``alpha * J_ff + C_ff / h + shunt * I``.
+
+        A singular matrix gives a NaN inverse (see ``kernels.raw_inv``);
+        the loop's non-finite step guard turns it into a rejection.
+        """
+        nf = self.n_free
+        jac = self.jac
+        np.multiply(j[:nf, :nf], alpha, out=jac)
+        jac += self.c_over_h[:, :nf]
+        if shunt:
+            jac.reshape(-1)[:: nf + 1] += shunt
+        raw_inv(jac, out=self.j_inv)
+
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> None:
+        """Apply the last factorization to ``rhs``."""
+        c_einsum("ij,j->i", self.j_inv, rhs, out=out)
+
+    def charge(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``C @ v`` over all nodes.
+
+        c_einsum matches the batch engine's ``bij,bj->bi`` bits exactly
+        (matmul's BLAS accumulation would not) - see
+        kernels.ScalarKernel.
+        """
+        c_einsum("ij,j->i", self.C, v, out=out)
+        return out
+
+    def static_solver(self) -> Optional[object]:
+        """The operating-point solver hook; None keeps dcop dense."""
+        return None
+
+    def note_worst(self, iterations: int) -> Dict[str, object]:
         """Record the worst-residual observation of the last iterate
         (deferred to return time: the argmax is failure diagnostics, not
         hot-loop work)."""
         self.info["iterations"] = iterations
-        if n_free and iterations:
+        if self.n_free and iterations:
             worst = int(np.argmax(np.abs(self.residual)))
             self.info["worst_index"] = worst
             self.info["worst_residual"] = float(abs(self.residual[worst]))
@@ -355,7 +408,7 @@ class _NewtonWork:
 
 
 def _newton_step(
-    circuit: CompiledCircuit,
+    work: _NewtonWork,
     v_guess: np.ndarray,
     v_sources: np.ndarray,
     q_prev: np.ndarray,
@@ -367,7 +420,6 @@ def _newton_step(
     max_iter: Optional[int] = None,
     shunt: float = 0.0,
     shunt_target: Optional[np.ndarray] = None,
-    work: Optional[_NewtonWork] = None,
 ) -> Tuple[Optional[np.ndarray], Dict[str, object]]:
     """Solve one implicit step; ``alpha = 1`` is BE, ``0.5`` trapezoidal.
 
@@ -382,35 +434,23 @@ def _newton_step(
     worst-residual observation and a ``nonfinite`` flag - the raw
     material of failure diagnostics.
 
-    Modified-Newton policy (``options.jacobian_policy == "reuse"``, only
-    in plain solves - the rescue rungs always run dense): while a cached
-    inverse for the same ``(h, alpha)`` scaling exists, each iteration
-    first reapplies it; the stale update is kept when its norm contracted
-    to at most :data:`~repro.analog.kernels.REUSE_SLOWDOWN` times the
-    previous update, otherwise the Jacobian is refactored on the spot.
-    Convergence (``step < vntol``) is accepted on stale iterations too:
-    the contraction guard bounds the distance to the full-Newton fixed
-    point by ``REUSE_SLOWDOWN * vntol`` - far inside the local-error
-    tolerances, so waveforms stay within solver noise of the dense path
-    (the golden-waveform tests pin this at the microvolt level).
+    This is the one modified-Newton loop of the scalar engine; ``work``
+    supplies the linear algebra (dense :class:`_NewtonWork` or
+    :class:`repro.sparse.newton.SparseNewtonWork`), so both backends
+    take the same decisions.  Policy (``options.reuses_factorizations``,
+    only in plain solves - the rescue rungs factor every iteration):
+    while a factorization for the same ``(h, alpha)`` scaling exists,
+    each iteration first reapplies it; the stale update is kept when its
+    norm contracted to at most :data:`~repro.analog.kernels.REUSE_SLOWDOWN`
+    times the previous update, otherwise the Jacobian is refactored on
+    the spot.  Convergence (``step < vntol``) is accepted on stale
+    iterations too: the contraction guard bounds the distance to the
+    full-Newton fixed point by ``REUSE_SLOWDOWN * vntol`` - far inside
+    the local-error tolerances, so waveforms stay within solver noise of
+    the dense path (the golden-waveform tests pin this at the microvolt
+    level).
     """
-    n_free = circuit.n_free
-    if work is None:
-        if _resolve_jacobian_policy(circuit, options) == "sparse":
-            from repro.sparse.newton import SparseNewtonWork
-
-            work = SparseNewtonWork(circuit, options)
-        else:
-            work = _NewtonWork(circuit, options)
-    if work.sparse:
-        # The sparse work object implements the whole solve (same
-        # policy, CSR/SparseLU linear algebra); rescue rungs arrive
-        # here too and therefore run sparse as well.
-        return work.newton_step(
-            circuit, v_guess, v_sources, q_prev, f_prev, h, alpha,
-            options, damping=damping, max_iter=max_iter,
-            shunt=shunt, shunt_target=shunt_target,
-        )
+    n_free = work.n_free
     kernel, stats = work.kernel, work.stats
     v = work.v
     np.copyto(v, v_guess)
@@ -429,10 +469,11 @@ def _newton_step(
     if shunt:
         anchor = shunt_target if shunt_target is not None else v_guess
     neg_res, delta, tmp = work.residual, work.delta, work.tmp
-    abs_buf, qh, j_inv = work.abs_buf, work.qh, work.j_inv
+    abs_buf, qh = work.abs_buf, work.qh
+    charge_rows, factor, solve = work.charge_rows, work.factor, work.solve
     max_reduce = np.maximum.reduce  # skips the ndarray.max wrapper chain
     is_be = alpha == 1.0
-    c_over_h = work.scaled_c(h)
+    work.scale(h)
     # Iteration-invariant part of the negated residual:
     # ``q_prev / h - (1 - alpha) * f_prev``.
     rhs0 = work.rhs0
@@ -461,7 +502,7 @@ def _newton_step(
             n_iters += 1
             n_assembles += 1
             # Negated residual: rhs0 - (C/h) @ v - alpha * f(v).
-            c_einsum("ij,j->i", c_over_h, v, out=qh)
+            charge_rows(v, qh)
             np.subtract(rhs0, qh, out=neg_res)
             if is_be:
                 neg_res -= f[:n_free]
@@ -477,7 +518,7 @@ def _newton_step(
             fresh = not try_stale
             if try_stale:
                 t0 = perf_counter()
-                c_einsum("ij,j->i", j_inv, neg_res, out=delta)
+                solve(neg_res, delta)
                 np.abs(delta, out=abs_buf)
                 step = max_reduce(abs_buf) if n_free else 0.0
                 solve_acc += perf_counter() - t0
@@ -494,20 +535,13 @@ def _newton_step(
 
             if fresh:
                 t0 = perf_counter()
-                jac = work.jac
-                np.multiply(j[:n_free, :n_free], alpha, out=jac)
-                jac += c_over_h[:, :n_free]
-                if shunt:
-                    jac.reshape(-1)[:: n_free + 1] += shunt
-                # Singular jac -> NaN inverse (see kernels.raw_inv); the
-                # non-finite step guard below turns it into a rejection.
-                raw_inv(jac, out=j_inv)
+                factor(j, alpha, shunt)
                 n_factor += 1
                 work.valid = modified
                 work.key = (h, alpha)
                 factor_acc += perf_counter() - t0
                 t0 = perf_counter()
-                c_einsum("ij,j->i", j_inv, neg_res, out=delta)
+                solve(neg_res, delta)
                 np.abs(delta, out=abs_buf)
                 step = max_reduce(abs_buf) if n_free else 0.0
                 solve_acc += perf_counter() - t0
@@ -515,7 +549,7 @@ def _newton_step(
             if not step < np.inf:  # catches NaN and +inf in one comparison
                 info["nonfinite"] = True
                 work.valid = False
-                return None, work.note_worst(n_free, n_iters)
+                return None, work.note_worst(n_iters)
             if step > damping:
                 delta *= damping / step
             v[:n_free] += delta
@@ -530,7 +564,7 @@ def _newton_step(
             if can_predict and iteration and step * step < vntol * step_prev:
                 return v.copy(), info
             step_prev = step
-        return None, work.note_worst(n_free, n_iters)
+        return None, work.note_worst(n_iters)
     finally:
         info["iterations"] = n_iters
         stats.newton_iterations += n_iters
@@ -544,13 +578,12 @@ def _newton_step(
 
 
 def _rescue_step(
-    circuit: CompiledCircuit,
+    work: _NewtonWork,
     v_accepted: np.ndarray,
     v_sources: np.ndarray,
     q_prev: np.ndarray,
     h: float,
     options: TransientOptions,
-    work: Optional[_NewtonWork] = None,
 ) -> Tuple[Optional[np.ndarray], Dict[str, object], Optional[str]]:
     """Escalation rungs beyond step-halving, tried at the step floor.
 
@@ -568,8 +601,8 @@ def _rescue_step(
     info: Dict[str, object] = {}
     if "damped-newton" in options.escalation:
         solution, info = _newton_step(
-            circuit, v_accepted.copy(), v_sources, q_prev, None, h, 1.0,
-            options, damping=0.1, max_iter=4 * options.max_newton, work=work,
+            work, v_accepted.copy(), v_sources, q_prev, None, h, 1.0,
+            options, damping=0.1, max_iter=4 * options.max_newton,
         )
         if solution is not None:
             return solution, info, "damped-newton"
@@ -579,9 +612,9 @@ def _rescue_step(
         for exponent in (1, 3, 6, 9, 12):
             shunt = 10.0 ** (-exponent)
             attempt, info = _newton_step(
-                circuit, guess, v_sources, q_prev, None, h, 1.0,
+                work, guess, v_sources, q_prev, None, h, 1.0,
                 options, max_iter=4 * options.max_newton,
-                shunt=shunt, shunt_target=v_accepted, work=work,
+                shunt=shunt, shunt_target=v_accepted,
             )
             if attempt is None:
                 failed = True
@@ -589,8 +622,8 @@ def _rescue_step(
             guess = attempt
         if not failed:
             solution, info = _newton_step(
-                circuit, guess, v_sources, q_prev, None, h, 1.0,
-                options, max_iter=4 * options.max_newton, work=work,
+                work, guess, v_sources, q_prev, None, h, 1.0,
+                options, max_iter=4 * options.max_newton,
             )
             if solution is not None:
                 return solution, info, "gmin-restart"
@@ -707,7 +740,7 @@ def transient(
         dcop_stats: Dict[str, object] = {}
         v = dc_operating_point(
             circuit, t=t_start, initial=initial, stats=dcop_stats,
-            solver=work.static_solver() if work.sparse else None,
+            solver=work.static_solver(),
         )
         if "dcop_rung" in dcop_stats:
             escalations[f"dcop:{dcop_stats['dcop_rung']}"] = 1
@@ -770,7 +803,7 @@ def transient(
     circuit.source_voltages_into(t_start, v_sources)  # constants written once
     v_pred = np.empty(n_total)
     q_prev = np.empty(n_total)
-    q_now = np.empty(n_total) if (current_nodes and work.sparse) else None
+    q_now = np.empty(n_total) if current_nodes else None
     weight = np.empty(n_free)
     err_buf = np.empty(n_free)
 
@@ -802,18 +835,11 @@ def transient(
         f_hist = None
         if not force_be:
             f_hist, _ = kernel.eval(v, with_jacobian=False, stats=stats)
-        if work.sparse:
-            work.charge_into(v, q_prev)
-        else:
-            # c_einsum matches the batch engine's ``bij,bj->bi`` bits
-            # exactly (matmul's BLAS accumulation would not) - see
-            # kernels.ScalarKernel.
-            c_einsum("ij,j->i", circuit.C, v, out=q_prev)
+        work.charge(v, q_prev)
 
         rescued = False
         v_new, step_info = _newton_step(
-            circuit, v_pred, v_sources, q_prev, f_hist, h, alpha, options,
-            work=work,
+            work, v_pred, v_sources, q_prev, f_hist, h, alpha, options
         )
         if v_new is not None and not np.isfinite(v_new).all():
             step_info["nonfinite"] = True
@@ -839,7 +865,7 @@ def transient(
                     h, step_info, options.escalation[-1] if options.escalation else None,
                 )
             v_new, rescue_info, rung = _rescue_step(
-                circuit, v, v_sources, q_prev, h, options, work=work
+                work, v, v_sources, q_prev, h, options
             )
             if v_new is not None and not np.isfinite(v_new).all():
                 rescue_info["nonfinite"] = True
@@ -900,10 +926,7 @@ def transient(
             )
         if current_nodes:
             f_now, _ = kernel.eval(v, with_jacobian=False, stats=stats)
-            if work.sparse:
-                dq = (work.charge_into(v, q_now) - q_prev) / h
-            else:
-                dq = (circuit.C @ v - q_prev) / h
+            dq = (work.charge(v, q_now) - q_prev) / h
             currents.append(f_now + dq)
         force_be = False
         if hit_bp or rescued:

@@ -197,7 +197,7 @@ class _BatchNewtonWork:
         B, n, nf = batch.batch_size, batch.n_total, batch.n_free
         self.kernel = batch.kernel()
         self.stats = KernelStats()
-        self.modified = options.jacobian_policy == "reuse"
+        self.modified = options.reuses_factorizations
         self.qh = np.empty((B, nf))
         self.rhs0 = np.empty((B, nf))
         self.neg_res = np.empty((B, nf))

@@ -88,8 +88,18 @@ ENV_MAX_WORKERS = "REPRO_MAX_WORKERS"
 DEFAULT_MAX_REDISPATCH = 2
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a container or ``taskset`` may allow fewer than the host
+    has), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 2
+
+
 def resolve_workers(max_workers: Optional[int] = None) -> int:
-    """Worker count: explicit arg > ``REPRO_MAX_WORKERS`` > half the CPUs."""
+    """Worker count: explicit arg > ``REPRO_MAX_WORKERS`` > half the
+    usable cores."""
     if max_workers is not None:
         return max(1, int(max_workers))
     env = os.environ.get(ENV_MAX_WORKERS, "").strip()
@@ -100,7 +110,21 @@ def resolve_workers(max_workers: Optional[int] = None) -> int:
             raise ValueError(
                 f"{ENV_MAX_WORKERS} must be an integer, got {env!r}"
             ) from None
-    return max(1, (os.cpu_count() or 2) // 2)
+    return max(1, usable_cores() // 2)
+
+
+def _check_cache(cache: Any) -> None:
+    """Reject a ``cache`` argument that is not one of the accepted values
+    at entry; anything else (``False``, a path) would only fail deep in
+    the cache pass with an ``AttributeError``."""
+    if not (
+        cache is None
+        or isinstance(cache, ResultCache)
+        or (isinstance(cache, str) and cache == "default")
+    ):
+        raise ValueError(
+            f"cache must be 'default', None or a ResultCache, got {cache!r}"
+        )
 
 
 def resolve_chunksize(
@@ -576,6 +600,7 @@ def evaluate_cached(
     ``extract_tau_min`` bisection) where spinning up a campaign per call
     would be pure overhead.
     """
+    _check_cache(cache)
     if cache == "default":
         cache = get_cache()
     key = job.key() if cache is not None else None
@@ -745,6 +770,7 @@ def run_campaign(
         raise ValueError("max_redispatch must be >= 0")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
+    _check_cache(cache)
     telemetry = telemetry if telemetry is not None else Telemetry()
     if cache == "default":
         # A custom evaluation must not populate the shared cache under

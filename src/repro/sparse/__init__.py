@@ -16,10 +16,11 @@ adds the sparse path of ROADMAP item 2:
   extra is installed, a pure-numpy dense-fallback otherwise (tier-1
   stays dependency-free - the fallback is bit-compatible with the
   engine's non-finite-step failure contract);
-* :mod:`repro.sparse.newton` - the sparse Newton work object the
-  transient engine dispatches to under ``jacobian_policy="sparse"``,
-  carrying over the ``(h, alpha)``-keyed factor-reuse / modified-Newton
-  policy of the dense path.
+* :mod:`repro.sparse.newton` - the CSR linear-algebra backend
+  (``scale``/``charge_rows``/``factor``/``solve``/``charge``) that the
+  engine's one modified-Newton loop runs on under
+  ``jacobian_policy="sparse"``; the loop and its ``(h, alpha)``-keyed
+  factor-reuse policy are shared with the dense backend, not copied.
 
 Select it with ``TransientOptions(jacobian_policy="sparse")`` or let
 ``"auto"`` pick it by node count.

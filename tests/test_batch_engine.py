@@ -66,13 +66,17 @@ def test_single_sample_batch_matches_to_roundoff(skew_ns):
     assert result.code == scalar.code
 
 
-def test_single_sample_walks_the_scalar_grid():
+@pytest.mark.parametrize("policy", ["reuse", "auto", "dense"])
+def test_single_sample_walks_the_scalar_grid(policy):
+    from dataclasses import replace
+
     from repro.core.response import simulate_sensor
     from repro.core.sensing import SkewSensor
     from repro.devices.sources import clock_pair
 
+    options = replace(FAST, jacobian_policy=policy)
     sensor = SkewSensor(load1=fF(160), load2=fF(160))
-    response = simulate_sensor(sensor, skew=ns(0.15), options=FAST)
+    response = simulate_sensor(sensor, skew=ns(0.15), options=options)
     scalar_wave = response.wave("y2")
 
     phi1, phi2 = clock_pair(period=ns(20.0), slew1=ns(0.2), slew2=ns(0.2),
@@ -80,9 +84,13 @@ def test_single_sample_walks_the_scalar_grid():
     batch = compile_batch([sensor.build(phi1=phi1, phi2=phi2)])
     result = batch_transient(
         batch, t_stop=ns(22.0), record=["y2"],
-        initial=[sensor.dc_guess()], options=FAST,
+        initial=[sensor.dc_guess()], options=options,
     )
     assert result.ok[0]
+    # Both engines apply the same factor-reuse rule under every policy.
+    reuses = result.kernel_stats["jacobian_reuses"]
+    assert reuses == response.result.kernel_stats["jacobian_reuses"]
+    assert (reuses > 0) == (policy != "dense")
     batch_wave = result.wave("y2", 0)
     # Same number of accepted points and the same times to within one
     # ULP of accumulation roundoff: the single-sample batch makes the

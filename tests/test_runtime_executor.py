@@ -17,7 +17,7 @@ from repro.runtime import (
     resolve_chunksize,
     resolve_workers,
 )
-from repro.runtime.executor import CampaignTimeoutError
+from repro.runtime.executor import CampaignTimeoutError, evaluate_cached
 from repro.units import fF, ns
 
 FAST = TransientOptions(dt_max=200e-12, reltol=5e-3)
@@ -75,6 +75,16 @@ def test_resolve_workers_env(monkeypatch):
         resolve_workers(None)
 
 
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    import os
+
+    monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert resolve_workers(None) == 2  # half of 4 usable, not of 64
+
+
 def test_default_workers_reads_env(monkeypatch):
     from repro.montecarlo.parallel import default_workers
 
@@ -117,6 +127,15 @@ def test_results_keep_job_order():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         run_campaign([], backend="gpu")
+
+
+@pytest.mark.parametrize("cache", [False, True, "disk"])
+def test_bad_cache_argument_rejected(cache):
+    accepted = "'default', None or a ResultCache"
+    with pytest.raises(ValueError, match=accepted):
+        run_campaign(jobs_for(0.1), cache=cache)
+    with pytest.raises(ValueError, match=accepted):
+        evaluate_cached(jobs_for(0.1)[0], cache=cache)
 
 
 # --------------------------------------------------------------------- #

@@ -1,15 +1,19 @@
 """Sparse MNA engine tests: CSR assembly, factor reuse, whole trees.
 
-The sparse subsystem (:mod:`repro.sparse`) re-implements the engine's
-Newton matrix pipeline on a compile-time CSR pattern.  This module pins
-the contract that makes it drop-in:
+The sparse subsystem (:mod:`repro.sparse`) is a second linear-algebra
+backend for the engine's one Newton loop: the Newton matrix is
+assembled on a compile-time CSR pattern and factored by ``SparseLU``.
+This module pins the contract that makes it drop-in:
 
 * **element-for-element assembly**: the CSR ``data`` vector equals the
   dense Newton matrix bit-for-bit on the shared pattern, on the same
   golden circuits the dense kernel is pinned on (sensing, stuck-on
   fault, buffered clock tree);
-* **counter parity**: the (h, alpha)-keyed factor-reuse policy makes
-  identical factor/reuse decisions through the sparse path;
+* **counter parity**: the shared loop's (h, alpha)-keyed factor-reuse
+  policy makes identical factor/reuse decisions on both backends;
+* **rescue rungs**: the damped-Newton and gmin-restart rungs fire
+  equally often and land on the same waveforms on both backends (the
+  sparse backend adds the gmin shunt on its CSR diagonal);
 * **backend degradation**: with scipy absent the dense-fallback backend
   produces bit-identical waveforms and reports itself in telemetry;
 * **whole-tree equivalence**: a ~200-node full-chip netlist integrates
@@ -174,6 +178,26 @@ def test_factor_reuse_counter_parity():
     assert sparse.kernel_stats["sparse_fill_nnz"] >= \
         sparse.kernel_stats["sparse_nnz"]
     assert len(dense) == len(sparse)
+
+
+@pytest.mark.parametrize("rung", ["damped-newton", "gmin-restart"])
+def test_rescue_ladder_runs_on_both_backends(rung):
+    # Two Newton iterations are too few for some steps, and with no
+    # step-halving rung every failure goes straight to ``rung`` - the
+    # damped update, or the shunted homotopy whose diagonal the sparse
+    # backend adds on its CSR pattern.
+    runs = {}
+    for policy in ("reuse", "sparse"):
+        options = TransientOptions(
+            dt_max=FAST.dt_max, reltol=FAST.reltol, max_newton=2,
+            escalation=(rung,), jacobian_policy=policy,
+        )
+        runs[policy] = transient(_sensing_netlist()[0], t_stop=ns(3.0),
+                                 options=options)
+    dense, sparse = runs["reuse"], runs["sparse"]
+    assert dense.escalations.get(rung, 0) > 0
+    assert dense.escalations == sparse.escalations
+    _assert_waveforms_close(dense, sparse)
 
 
 def test_auto_policy_resolves_by_node_count():
