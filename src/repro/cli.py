@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import List, Optional
 
@@ -378,6 +379,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             handle.write(str(server.port))
     print(f"serving campaigns on http://{args.host}:{server.port} "
           f"(state: {server.scheduler.store.root})")
+    # A shell without job control starts background jobs with SIGINT
+    # ignored, and Python then raises no KeyboardInterrupt: take SIGINT
+    # back so ``kill -INT`` still shuts the server down cleanly.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     serve_forever(server)
     return 0
 

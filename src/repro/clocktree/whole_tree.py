@@ -534,10 +534,14 @@ class WholeTreeJob:
     options: Optional[TransientOptions] = None
 
     def key(self) -> str:
-        """Content-address of this job (checkpoint/journal identity)."""
-        from repro.runtime.cache import stable_key
+        """Content-address of this job (checkpoint/journal identity),
+        hashed once per instance."""
+        from repro.runtime.cache import memoised, stable_key
 
-        return stable_key(self, namespace=WHOLE_TREE_NAMESPACE)
+        return memoised(
+            self, "_key",
+            lambda: stable_key(self, namespace=WHOLE_TREE_NAMESPACE),
+        )
 
 
 def evaluate_whole_tree_job(job: WholeTreeJob) -> "JobResult":  # noqa: F821

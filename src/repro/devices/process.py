@@ -56,14 +56,18 @@ class ProcessParams:
         return self.pmos if is_pmos else self.nmos
 
 
+_NOMINAL = ProcessParams(
+    nmos=TransistorParams(vt0=0.75, kp=80e-6, lam=0.02),
+    pmos=TransistorParams(vt0=-0.85, kp=27e-6, lam=0.05),
+    vdd=5.0,
+    name="cmos12-nominal",
+)
+
+
 def nominal_process() -> ProcessParams:
-    """The nominal 1.2 um process corner used for all non-Monte-Carlo runs."""
-    return ProcessParams(
-        nmos=TransistorParams(vt0=0.75, kp=80e-6, lam=0.02),
-        pmos=TransistorParams(vt0=-0.85, kp=27e-6, lam=0.05),
-        vdd=5.0,
-        name="cmos12-nominal",
-    )
+    """The nominal 1.2 um process corner used for all non-Monte-Carlo runs
+    (one shared frozen instance)."""
+    return _NOMINAL
 
 
 def corner_process(corner: str, spread: float = 0.1) -> ProcessParams:

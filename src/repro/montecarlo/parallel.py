@@ -25,6 +25,7 @@ from repro.core.sensing import SensorSizing
 from repro.montecarlo.analysis import ScatterPoint
 from repro.montecarlo.sampling import MonteCarloSample
 from repro.runtime import SensorJob, Telemetry, resolve_workers, run_campaign
+from repro.runtime.jobs import DEFAULT_SIZING
 
 
 def default_workers() -> int:
@@ -57,7 +58,7 @@ def sample_job(
         slew1=sample.slew1,
         slew2=sample.slew2,
         process=sample.process,
-        sizing=sizing or SensorSizing(),
+        sizing=sizing or DEFAULT_SIZING,
         options=options,
         warm_start=warm_start,
     )

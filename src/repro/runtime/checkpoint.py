@@ -10,10 +10,13 @@ failed - errors are never journalled, so they are retried).
 
 Format
 ------
-Line 1 is a header ``{"kind": "header", "format": 2}``; every further
+Line 1 is a header ``{"kind": "header", "format": 3}``; every further
 line is ``{"kind": "result", "key": <content address>, "result":
-<JobResult payload>}``.  Content-addressed keys make the journal robust
-to job reordering and to campaigns that share a subset of jobs.
+<JobResult payload>}`` (one evaluated job) or ``{"kind": "results",
+"results": {<content address>: <JobResult payload>, ...}}`` (every cache
+hit of one campaign pass, written and flushed as one line).
+Content-addressed keys make the journal robust to job reordering and to
+campaigns that share a subset of jobs.
 
 Since format 2 every entry is *integrity-framed*: the writer embeds a
 ``_crc`` (CRC-32 of the entry's canonical JSON form, without the frame
@@ -27,6 +30,8 @@ Corrupt lines are never applied; readers report them through an
 line number and reason, to ``<journal>.quarantine``) so the evidence
 survives for a post-mortem instead of vanishing.  Format-1 journals
 (no frame fields) still load; their entries are simply unverifiable.
+Format 3 added the ``results`` block; a torn block loses only the hits
+it carried, which a resume looks up in the cache again.
 
 The journal is *not* the result cache: it is a per-campaign artifact at a
 user-chosen path, it survives ``REPRO_CACHE_DISABLE=1`` runs, and it
@@ -46,10 +51,10 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 logger = logging.getLogger(__name__)
 
-#: Journal format generation, bumped on incompatible layout changes.
-#: Format 2 added the ``_crc``/``_len`` integrity frame; format-1 lines
-#: are still readable (unverified).
-JOURNAL_FORMAT = 2
+#: Journal format generation, bumped on layout changes.  Format 2
+#: added the ``_crc``/``_len`` integrity frame (format-1 lines are still
+#: readable, unverified); format 3 added the ``results`` block entry.
+JOURNAL_FORMAT = 3
 
 #: Frame fields embedded into every written entry.
 CRC_FIELD = "_crc"
@@ -82,12 +87,16 @@ def _canonical(entry: Dict[str, Any]) -> str:
 
 
 def frame_entry(entry: Dict[str, Any]) -> str:
-    """Serialise ``entry`` with its integrity frame embedded."""
+    """Serialise ``entry`` with its integrity frame embedded.
+
+    The frame fields are spliced in front of the canonical body rather
+    than re-serialising the whole entry; readers parse the line and
+    re-derive the canonical body, so field order on disk is irrelevant.
+    """
     body = _canonical(entry)
-    framed = dict(entry)
-    framed[CRC_FIELD] = f"{zlib.crc32(body.encode('utf-8')) & 0xffffffff:08x}"
-    framed[LEN_FIELD] = len(body)
-    return json.dumps(framed, sort_keys=True)
+    crc = f"{zlib.crc32(body.encode('utf-8')) & 0xffffffff:08x}"
+    rest = ", " + body[1:] if len(body) > 2 else "}"
+    return f'{{"{CRC_FIELD}": "{crc}", "{LEN_FIELD}": {len(body)}{rest}'
 
 
 def unframe_entry(entry: Dict[str, Any]) -> Optional[Dict[str, Any]]:
@@ -196,11 +205,16 @@ def load_journal(
     corrupt: List[CorruptEntry] = []
     completed: Dict[str, Dict[str, Any]] = {}
     for entry in iter_entries(path, on_corrupt=corrupt.append):
-        if entry.get("kind") != "result":
+        kind = entry.get("kind")
+        if kind == "result":
+            pairs = [(entry.get("key"), entry.get("result"))]
+        elif kind == "results" and isinstance(entry.get("results"), dict):
+            pairs = entry["results"].items()
+        else:
             continue
-        key, payload = entry.get("key"), entry.get("result")
-        if isinstance(key, str) and isinstance(payload, dict):
-            completed[key] = payload
+        for key, payload in pairs:
+            if isinstance(key, str) and isinstance(payload, dict):
+                completed[key] = payload
     if corrupt:
         logger.warning(
             "journal %s: skipped %d corrupt line(s); affected jobs will "
@@ -216,7 +230,9 @@ class CheckpointJournal:
 
     Opened lazily on the first :meth:`record` (so a fully resumed
     campaign does not even touch the file), flushed after every line (a
-    crash loses at most the in-flight job).  Use as a context manager or
+    crash loses at most the in-flight line).  Appending to a journal
+    whose last line was torn starts on a fresh line, so the torn
+    fragment cannot swallow the next entry.  Use as a context manager or
     call :meth:`close` explicitly.
     """
 
@@ -233,10 +249,18 @@ class CheckpointJournal:
             if self.path.parent and not self.path.parent.exists():
                 os.makedirs(self.path.parent, exist_ok=True)
             new = not self.path.exists() or self.path.stat().st_size == 0
+            torn = not new and not self._ends_with_newline()
             self._handle = self.path.open("a", encoding="utf-8")
             if new:
                 self._write({"kind": "header", "format": JOURNAL_FORMAT})
+            elif torn:
+                self._handle.write("\n")
         return self._handle
+
+    def _ends_with_newline(self) -> bool:
+        with self.path.open("rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) == b"\n"
 
     def _write(self, entry: Dict[str, Any]) -> None:
         self._handle.write(frame_entry(entry) + "\n")
@@ -245,6 +269,13 @@ class CheckpointJournal:
     def record(self, key: str, payload: Dict[str, Any]) -> None:
         """Journal one completed job result."""
         self.append({"kind": "result", "key": key, "result": payload})
+
+    def record_block(self, results: Dict[str, Dict[str, Any]]) -> None:
+        """Journal many completed results (``key -> payload``) as one
+        framed line: one write and one flush however many there are.
+        Nothing is written for an empty mapping."""
+        if results:
+            self.append({"kind": "results", "results": results})
 
     def append(self, entry: Dict[str, Any]) -> None:
         """Journal one arbitrary entry dict (service lifecycle events,

@@ -736,7 +736,9 @@ def run_campaign(
         ``on_error="collect"``) - cache hits, journal-resumed jobs and
         deduplicated twins included.  Called from the campaign's own
         thread *as results land* (the service streams these as live
-        events); it must be cheap and must not raise.
+        events) - cache hits and journal replays once the lookup pass
+        has journalled them, in job order; it must be cheap and must
+        not raise.
     cancel_event:
         Optional :class:`threading.Event`; once set, the campaign stops
         dispatching, tears its worker pool down and raises
@@ -789,12 +791,16 @@ def run_campaign(
 
     # ------------------------------------------------------------------ #
     # Resume/cache pass: satisfy journal and cache hits, dedupe
-    # identical pending jobs.
+    # identical pending jobs.  Every cache hit of the pass is journalled
+    # in one block (one write, one flush) before any of the pass's
+    # results is reported to ``progress``.
     # ------------------------------------------------------------------ #
     pending: List[Tuple[int, SensorJob]] = []
     key_owner: Dict[str, int] = {}
     duplicates: Dict[int, int] = {}
     keys: List[Optional[str]] = [None] * len(jobs)
+    satisfied: List[int] = []
+    hits: Dict[str, Dict[str, Any]] = {}
     keyed = cache is not None or checkpoint is not None
     if keyed:
         for index, job in enumerate(jobs):
@@ -808,8 +814,7 @@ def run_campaign(
                     f"job[{index}]", wall=0.0, attempts=0,
                     steps=results[index].steps, resumed=True,
                 )
-                if progress is not None:
-                    progress(index, results[index])
+                satisfied.append(index)
                 continue
             hit = cache.get(key) if cache is not None else None
             if cache is not None:
@@ -820,10 +825,8 @@ def run_campaign(
                     f"job[{index}]", wall=0.0, attempts=0,
                     steps=results[index].steps, cached=True,
                 )
-                if journal is not None:
-                    journal.record(key, results[index].to_payload())
-                if progress is not None:
-                    progress(index, results[index])
+                hits[key] = hit
+                satisfied.append(index)
             elif key in key_owner:
                 duplicates[index] = key_owner[key]
             else:
@@ -831,6 +834,11 @@ def run_campaign(
                 pending.append((index, job))
     else:
         pending = list(enumerate(jobs))
+    if journal is not None:
+        journal.record_block(hits)
+    if progress is not None:
+        for index in satisfied:
+            progress(index, results[index])
 
     # ------------------------------------------------------------------ #
     # Dispatch the misses.

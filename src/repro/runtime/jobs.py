@@ -22,13 +22,27 @@ from typing import Any, Dict, Optional, Tuple
 from repro.analog.engine import TransientOptions
 from repro.core.response import simulate_sensor
 from repro.core.sensing import SensorSizing, SkewSensor
-from repro.devices.process import ProcessParams, nominal_process
-from repro.runtime.cache import stable_key
+from repro.devices.process import (
+    ProcessParams,
+    TransistorParams,
+    nominal_process,
+)
+from repro.runtime.cache import memoised, register_leaf_records, stable_key
 from repro.units import VTH_INTERPRET, ns
 
 #: Namespace folded into every job key, so sensor-response entries can
 #: never collide with a future job family (sweeps, IDDQ campaigns, ...).
 JOB_NAMESPACE = "sensor-response"
+
+#: The records every job embeds: a campaign shares a handful of
+#: instances across all its jobs, so their canonical forms are built once.
+register_leaf_records(ProcessParams, TransistorParams, SensorSizing,
+                      TransientOptions)
+
+#: Shared default instances (equal to fresh ones, so keys are unchanged;
+#: shared, so their canonical forms are reduced once per process).
+DEFAULT_SIZING = SensorSizing()
+DEFAULT_OPTIONS = TransientOptions()
 
 
 @dataclass(frozen=True)
@@ -46,7 +60,7 @@ class SensorJob:
     slew1: float = ns(0.2)
     slew2: float = ns(0.2)
     process: Optional[ProcessParams] = None
-    sizing: SensorSizing = SensorSizing()
+    sizing: SensorSizing = DEFAULT_SIZING
     period: float = ns(20.0)
     settle: float = ns(2.0)
     threshold: float = VTH_INTERPRET
@@ -68,12 +82,19 @@ class SensorJob:
         if job.process is None:
             job = replace(job, process=nominal_process())
         if job.options is None:
-            job = replace(job, options=TransientOptions())
+            job = replace(job, options=DEFAULT_OPTIONS)
         return job
 
     def key(self) -> str:
-        """Content-address of this job's result (engine-version aware)."""
-        return stable_key(self.resolved(), namespace=JOB_NAMESPACE)
+        """Content-address of this job's result.
+
+        Hashed once per job instance: a campaign asks for it when it
+        looks the job up and again when it folds the result payload.
+        """
+        return memoised(
+            self, "_key",
+            lambda: stable_key(self.resolved(), namespace=JOB_NAMESPACE),
+        )
 
 
 @dataclass(frozen=True)
@@ -242,7 +263,7 @@ def sensitivity_job(
         slew1=slew,
         slew2=slew if slew2 is None else slew2,
         process=process,
-        sizing=sizing or SensorSizing(),
+        sizing=sizing or DEFAULT_SIZING,
         threshold=threshold,
         options=options,
         warm_start=warm_start,

@@ -9,6 +9,10 @@ human summary (:meth:`Telemetry.summary`), and its counters are what the
 acceptance checks read to prove a warm-cache run performed *zero* new
 transient integrations.
 
+:class:`TelemetryTotals` is the bounded variant a long-running service
+aggregates into: the same report from counters and a fixed-bucket
+job-wall histogram, with no per-job records.
+
 The module also hosts the small timing/printing helpers that used to be
 duplicated across ``benchmarks/_util.py`` and ad-hoc scripts:
 :class:`Stopwatch`, :func:`format_duration` and :func:`emit_block`.
@@ -16,6 +20,7 @@ duplicated across ``benchmarks/_util.py`` and ad-hoc scripts:
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import time
@@ -67,6 +72,11 @@ def emit_block(name: str, lines: Iterable[str], out_dir: str) -> str:
     with open(path, "w") as handle:
         handle.write(text + "\n")
     return path
+
+
+def _rank(q: float, n: int) -> int:
+    """Index of the ``q`` quantile in ``n`` sorted samples."""
+    return min(n - 1, int(q * (n - 1) + 0.5))
 
 
 @dataclass
@@ -145,6 +155,14 @@ class Telemetry:
 
     def __post_init__(self) -> None:
         self._wall = Stopwatch()
+        #: Running job tallies, so the derived statistics need no scan
+        #: of ``records`` (and survive where records are not kept).
+        self._jobs = dict.fromkeys(
+            ("total", "evaluated", "from_cache", "resumed", "failed",
+             "retries", "steps", "wall"), 0,
+        )
+        for record in self.records:
+            self._count(record)
 
     # ------------------------------------------------------------------ #
     # Recording.
@@ -162,7 +180,7 @@ class Telemetry:
         kernel: Optional[Mapping[str, float]] = None,
     ) -> None:
         """Record one finished job (fresh, cached, resumed or failed)."""
-        self.records.append(
+        self._add_record(
             JobRecord(label=label, wall=wall, attempts=attempts,
                       steps=steps, cached=cached, resumed=resumed, error=error)
         )
@@ -170,6 +188,23 @@ class Telemetry:
             self.record_escalations(escalations)
         if kernel:
             self.record_kernel(kernel)
+
+    def _add_record(self, record: JobRecord) -> None:
+        self._count(record)
+        self.records.append(record)
+
+    def _count(self, record: JobRecord) -> None:
+        jobs = self._jobs
+        jobs["total"] += 1
+        jobs["from_cache"] += record.cached
+        jobs["resumed"] += record.resumed
+        jobs["failed"] += record.error is not None
+        jobs["wall"] += record.wall
+        if not record.cached:
+            jobs["retries"] += max(0, record.attempts - 1)
+            if not record.resumed:
+                jobs["evaluated"] += 1
+                jobs["steps"] += record.steps
 
     def record_cache(self, hit: bool) -> None:
         """Count one cache lookup."""
@@ -248,35 +283,39 @@ class Telemetry:
     # ------------------------------------------------------------------ #
     @property
     def jobs_total(self) -> int:
-        return len(self.records)
+        return self._jobs["total"]
 
     @property
     def jobs_evaluated(self) -> int:
         """Jobs that actually ran a transient (neither cached nor
         replayed from a checkpoint journal)."""
-        return sum(1 for r in self.records if not r.cached and not r.resumed)
+        return self._jobs["evaluated"]
+
+    @property
+    def jobs_from_cache(self) -> int:
+        """Jobs answered from the result cache (or by a duplicate)."""
+        return self._jobs["from_cache"]
 
     @property
     def jobs_resumed(self) -> int:
         """Jobs replayed from a checkpoint journal."""
-        return sum(1 for r in self.records if r.resumed)
+        return self._jobs["resumed"]
 
     @property
     def jobs_failed(self) -> int:
         """Jobs that ended in a collected :class:`~repro.errors.JobError`."""
-        return sum(1 for r in self.records if r.error is not None)
+        return self._jobs["failed"]
 
     @property
     def retries(self) -> int:
         """Extra attempts beyond the first, summed over evaluated jobs."""
-        return sum(r.attempts - 1 for r in self.records
-                   if not r.cached and r.attempts > 1)
+        return self._jobs["retries"]
 
     @property
     def steps_integrated(self) -> int:
         """Engine points accepted *in this run* (cached and journal-resumed
         jobs contribute 0 - their integration happened in an earlier run)."""
-        return sum(r.steps for r in self.records if not r.cached and not r.resumed)
+        return self._jobs["steps"]
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -286,7 +325,7 @@ class Telemetry:
 
     @property
     def wall_total(self) -> float:
-        return sum(r.wall for r in self.records)
+        return self._jobs["wall"]
 
     def elapsed(self) -> float:
         """Wall time since this telemetry object was created."""
@@ -295,21 +334,28 @@ class Telemetry:
     # ------------------------------------------------------------------ #
     # Export.
     # ------------------------------------------------------------------ #
-    def as_dict(self) -> Dict[str, Any]:
-        """The full machine-readable report (used by :meth:`to_json`)."""
+    def _job_walls(self) -> Dict[str, float]:
+        """p50/p95/max wall time of the jobs not answered from cache."""
         walls = sorted(r.wall for r in self.records if not r.cached)
 
         def pct(q: float) -> float:
             if not walls:
                 return 0.0
-            pos = min(len(walls) - 1, int(q * (len(walls) - 1) + 0.5))
-            return walls[pos]
+            return walls[_rank(q, len(walls))]
 
+        return {
+            "job_p50": pct(0.50),
+            "job_p95": pct(0.95),
+            "job_max": walls[-1] if walls else 0.0,
+        }
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The full machine-readable report (used by :meth:`to_json`)."""
         return {
             "jobs": {
                 "total": self.jobs_total,
                 "evaluated": self.jobs_evaluated,
-                "from_cache": sum(1 for r in self.records if r.cached),
+                "from_cache": self.jobs_from_cache,
                 "resumed": self.jobs_resumed,
                 "failed": self.jobs_failed,
                 "retries": self.retries,
@@ -342,9 +388,7 @@ class Telemetry:
             "wall_s": {
                 "jobs_total": self.wall_total,
                 "elapsed": self.elapsed(),
-                "job_p50": pct(0.50),
-                "job_p95": pct(0.95),
-                "job_max": walls[-1] if walls else 0.0,
+                **self._job_walls(),
             },
             "spans_s": dict(self.spans),
             "records": [r.as_dict() for r in self.records],
@@ -430,7 +474,8 @@ class Telemetry:
 
     def merge(self, other: "Telemetry") -> None:
         """Fold another telemetry object into this one."""
-        self.records.extend(other.records)
+        for record in other.records:
+            self._add_record(record)
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.redispatches += other.redispatches
@@ -449,3 +494,66 @@ class Telemetry:
         self.record_kernel(other.kernel)
         for label, seconds in other.spans.items():
             self.spans[label] = self.spans.get(label, 0.0) + seconds
+
+
+#: Upper bounds (seconds) of the job-wall histogram buckets of
+#: :class:`TelemetryTotals`; one more, open bucket takes longer jobs.
+WALL_BUCKETS_S = (
+    1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0,
+    100.0,
+)
+
+
+class TelemetryTotals(Telemetry):
+    """Bounded aggregate of many campaigns' :class:`Telemetry`.
+
+    Merging a campaign's telemetry counts its job records and adds their
+    wall times to a fixed-bucket histogram instead of keeping them, so
+    the object and its report stay the same size however many jobs it
+    has seen.  The report has the :class:`Telemetry` shape minus
+    ``records``; its ``job_p50``/``job_p95`` are the upper bounds of the
+    histogram buckets holding those ranks (capped at ``job_max``), and
+    ``wall_histogram`` holds the bucket counts.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._wall_max = 0.0
+        self._wall_counts = [0] * (len(WALL_BUCKETS_S) + 1)
+
+    def _add_record(self, record: JobRecord) -> None:
+        self._count(record)
+        if not record.cached:
+            bucket = bisect.bisect_left(WALL_BUCKETS_S, record.wall)
+            self._wall_counts[bucket] += 1
+            self._wall_max = max(self._wall_max, record.wall)
+
+    def _job_walls(self) -> Dict[str, float]:
+        samples = sum(self._wall_counts)
+
+        def pct(q: float) -> float:
+            if not samples:
+                return 0.0
+            rank, seen = _rank(q, samples), 0
+            for bound, count in zip(WALL_BUCKETS_S, self._wall_counts):
+                seen += count
+                if seen > rank:
+                    return min(bound, self._wall_max)
+            return self._wall_max
+
+        return {
+            "job_p50": pct(0.50),
+            "job_p95": pct(0.95),
+            "job_max": self._wall_max,
+        }
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The :class:`Telemetry` report without ``records``, plus the
+        ``wall_histogram`` bucket bounds and counts."""
+        data = super().as_dict()
+        del data["records"]
+        data["wall_histogram"] = {
+            "le_s": list(WALL_BUCKETS_S),
+            "counts": list(self._wall_counts),
+        }
+        return data

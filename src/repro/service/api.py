@@ -40,7 +40,10 @@ answering) and ``api.drop`` (shut the connection down unanswered -
 clients must retry).
 
 The SSE stream emits one ``data: <json>`` frame per scheduler event
-(at least one per completed job) and closes after the terminal event.
+(at least one per completed job), writing every frame of one long-poll
+batch in a single ``write``, and closes after the terminal event.
+``/result`` sends the bytes the store published (compact sorted JSON),
+without parsing or re-serialising them.
 Reconnecting clients pass ``?from=<next index>`` to resume where they
 dropped; the buffer is in-memory, so a *server* restart resets cursors -
 durable progress lives in the store's journals, not the event buffer.
@@ -98,7 +101,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         payload: Dict[str, Any],
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_body(status, json.dumps(payload).encode("utf-8"), headers)
+
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Send an already-serialised JSON body."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -293,7 +304,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 f"campaign {campaign_id} is {record.state!r}, not done",
             )
             return
-        self._send_json(200, self.scheduler.store.load_result(campaign_id))
+        self._send_body(200, self.scheduler.store.result_bytes(campaign_id))
 
     def _stream_events(self, campaign_id: str, query: Dict[str, str]) -> None:
         try:
@@ -314,15 +325,17 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     campaign_id, cursor, timeout=5.0
                 )
                 finished = False
+                frames = []
                 for event in events:
-                    frame = (
+                    frames.append(
                         f"id: {cursor}\n"
                         f"data: {json.dumps(event)}\n\n"
                     )
-                    self.wfile.write(frame.encode("utf-8"))
                     cursor += 1
                     if event.get("event") in terminal_events:
                         finished = True
+                if frames:
+                    self.wfile.write("".join(frames).encode("utf-8"))
                 self.wfile.flush()
                 if finished:
                     return

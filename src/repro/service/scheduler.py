@@ -79,6 +79,7 @@ from repro.runtime import (
 )
 from repro.runtime.faults import get_injector
 from repro.runtime.jobs import JobResult
+from repro.runtime.telemetry import TelemetryTotals
 from repro.service.specs import build_plan
 from repro.service.store import CampaignRecord, JobStore
 
@@ -164,7 +165,9 @@ class CampaignScheduler:
             None if not watchdog_s else float(watchdog_s)
         )
         self.max_crash_requeues = max(0, int(max_crash_requeues))
-        self.telemetry = Telemetry()
+        #: Every finished campaign's telemetry, as bounded counters and
+        #: histograms (each campaign's own result keeps its records).
+        self.telemetry = TelemetryTotals()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queue: List[Tuple[int, int, str]] = []
@@ -333,18 +336,20 @@ class CampaignScheduler:
         self, campaign_id: str, start: int, timeout: float = 10.0
     ) -> List[Dict[str, Any]]:
         """Block until the campaign has events past ``start`` (or it is
-        terminal, or ``timeout`` elapses); the SSE endpoint's long poll."""
+        terminal, or ``timeout`` elapses); the SSE endpoint's long poll.
+
+        Waits against a monotonic deadline: events of *other* campaigns
+        wake the shared condition but do not use up this poll's time."""
+        deadline = time.monotonic() + timeout
         with self._lock:
-            remaining = timeout
             while True:
                 buffered = self._events.get(campaign_id, [])
                 if len(buffered) > start:
                     return list(buffered[start:])
+                remaining = deadline - time.monotonic()
                 if self.store.get(campaign_id).terminal or remaining <= 0:
                     return []
-                waited = min(remaining, 0.5)
-                self._event_cv.wait(waited)
-                remaining -= waited
+                self._event_cv.wait(min(remaining, 0.5))
 
     def _emit(self, campaign_id: str, event: Dict[str, Any]) -> None:
         with self._lock:

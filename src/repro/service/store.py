@@ -20,9 +20,13 @@ with ``resume=True``: the scheduler re-executes them through
 ``run_campaign(checkpoint=..., resume=True)``, replaying every job the
 previous incarnation had journaled under
 ``<state_dir>/campaigns/<id>/checkpoint.jsonl`` and computing only the
-remainder.  Result payloads are plain JSON files
+remainder.  Result payloads are compact, key-sorted JSON files
 (``campaigns/<id>/result.json``), written *before* the terminal journal
-entry so a ``done`` state always has its result on disk.
+entry so a ``done`` state always has its result on disk.  The published
+bytes of the most recent results are also kept in a small fixed-size
+memory map, so ``GET /result`` sends them without reading or
+re-serialising anything; older results (and every result after a
+restart) are read from their file.
 
 Self-healing
 ------------
@@ -49,6 +53,7 @@ import os
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -79,6 +84,10 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: (transient disk errors and the injected ``store.write`` /
 #: ``store.replace`` faults are retried this many extra times).
 WRITE_RETRIES = 3
+
+#: How many recently published results keep their bytes in memory;
+#: older ones are read back from their ``result.json``.
+RESULT_MEMORY_ENTRIES = 16
 
 
 def default_state_dir() -> Path:
@@ -142,6 +151,9 @@ class JobStore:
         self._seq = 0
         #: Corrupt journal lines found (and quarantined) during replay.
         self.quarantined = 0
+        #: campaign id -> published ``result.json`` bytes, most recent
+        #: last, at most :data:`RESULT_MEMORY_ENTRIES` entries.
+        self._result_bytes: "OrderedDict[str, bytes]" = OrderedDict()
         self._replay()
         self._journal = CheckpointJournal(self.journal_path)
 
@@ -265,12 +277,16 @@ class JobStore:
         raise last_error
 
     def _publish_result(self, campaign_id: str, result: Dict[str, Any]) -> None:
-        """Atomically write ``result.json`` (tmp + rename), retrying
-        transient replace failures (chaos site ``store.replace``)."""
+        """Atomically write ``result.json`` as compact sorted JSON (tmp +
+        rename), retrying transient replace failures (chaos site
+        ``store.replace``), then remember the published bytes."""
         path = self.result_path(campaign_id)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(result, indent=2, sort_keys=True))
+        body = json.dumps(
+            result, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        tmp.write_bytes(body)
         injector = get_injector()
         last_error: Optional[Exception] = None
         for _ in range(1 + WRITE_RETRIES):
@@ -280,10 +296,18 @@ class JobStore:
                         "injected result publish failure (store.replace)"
                     )
                 os.replace(tmp, path)
+                self._remember_result(campaign_id, body)
                 return
             except (OSError, InjectedFaultError) as error:
                 last_error = error
         raise last_error
+
+    def _remember_result(self, campaign_id: str, body: bytes) -> None:
+        with self._lock:
+            self._result_bytes[campaign_id] = body
+            self._result_bytes.move_to_end(campaign_id)
+            while len(self._result_bytes) > RESULT_MEMORY_ENTRIES:
+                self._result_bytes.popitem(last=False)
 
     # ----------------------------------------------------------------- #
     # Mutations (each one durable before it is visible).
@@ -542,9 +566,18 @@ class JobStore:
                 if r.client == client and not r.terminal
             )
 
+    def result_bytes(self, campaign_id: str) -> bytes:
+        """The published ``result.json`` bytes of a ``done`` campaign:
+        from memory for recent results, else from the file."""
+        with self._lock:
+            body = self._result_bytes.get(campaign_id)
+        if body is None:
+            body = self.result_path(campaign_id).read_bytes()
+        return body
+
     def load_result(self, campaign_id: str) -> Dict[str, Any]:
         """The persisted result payload of a ``done`` campaign."""
-        return json.loads(self.result_path(campaign_id).read_text())
+        return json.loads(self.result_bytes(campaign_id))
 
     def counts(self) -> Dict[str, int]:
         """Campaigns per state (the ``/metrics`` gauge)."""

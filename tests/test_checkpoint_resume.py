@@ -177,6 +177,96 @@ def test_collected_failures_are_not_journalled(tmp_path):
 
 
 # --------------------------------------------------------------------- #
+# Cache hits are journalled as one block, before they are reported.
+# --------------------------------------------------------------------- #
+
+def _warm_cache(jobs):
+    from repro.runtime import ResultCache
+
+    cache = ResultCache(disk_dir=None)
+    run_campaign(jobs, evaluate=_logged_ok, cache=cache)
+    return cache
+
+
+def test_cache_hits_journal_as_one_block_before_progress(tmp_path):
+    jobs = _jobs(0.1, 0.2, 0.3, 0.4, 0.5)
+    cache = _warm_cache(jobs[:4])
+    path = tmp_path / "campaign.jsonl"
+    seen = []
+
+    def progress(index, result):
+        # Journal before visible: every hit is durable by the time the
+        # first of them is reported.
+        seen.append((index, result.cached, len(load_journal(path))))
+
+    run_campaign(jobs, evaluate=_logged_ok, cache=cache,
+                 checkpoint=str(path), progress=progress)
+    assert seen[:4] == [(0, True, 4), (1, True, 4), (2, True, 4),
+                        (3, True, 4)]
+    assert seen[4] == (4, False, 5)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3  # header, the hit block, the evaluated job
+    assert '"kind": "results"' in lines[1]
+
+
+def test_torn_hit_block_resumes_identically(tmp_path):
+    """Cut the journal inside a batched hit block, then resume: the
+    block's jobs come back from the cache (or are re-evaluated), the
+    journalled ones are replayed, and every value is unchanged."""
+    jobs = _jobs(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    path = tmp_path / "campaign.jsonl"
+    run_campaign(jobs[:2], evaluate=_logged_ok, checkpoint=str(path))
+    cache = _warm_cache(jobs)
+    reference = run_campaign(jobs, evaluate=_logged_ok, cache=cache,
+                             checkpoint=str(path), resume=True)
+    assert [r.resumed for r in reference] == [True] * 2 + [False] * 4
+    assert [r.cached for r in reference] == [False] * 2 + [True] * 4
+
+    raw = path.read_bytes()
+    block = raw.rindex(b'{"_crc"')
+    assert b'"kind": "results"' in raw[block:]
+    path.write_bytes(raw[:block + (len(raw) - block) // 2])
+    assert len(load_journal(path)) == 2
+
+    def values(campaign):
+        return [(r.skew, r.vmin_y1, r.vmin_y2, r.code, r.steps)
+                for r in campaign]
+
+    resumed = run_campaign(jobs, evaluate=_logged_ok, cache=cache,
+                           checkpoint=str(path), resume=True)
+    assert values(resumed) == values(reference)
+    assert [r.resumed for r in resumed] == [True] * 2 + [False] * 4
+    assert [r.cached for r in resumed] == [False] * 2 + [True] * 4
+
+    # The new block starts on a line of its own, past the torn one.
+    assert len(load_journal(path)) == 6
+    replayed = run_campaign(jobs, evaluate=_logged_ok, checkpoint=str(path),
+                            resume=True, cache=None)
+    assert values(replayed) == values(reference)
+    assert all(r.resumed and not r.cached for r in replayed)
+
+
+def test_torn_hit_block_with_cold_cache_reevaluates(tmp_path):
+    from repro.runtime import ResultCache
+
+    jobs = _jobs(0.1, 0.2, 0.3)
+    path = tmp_path / "campaign.jsonl"
+    reference = run_campaign(jobs, evaluate=_logged_ok,
+                             cache=_warm_cache(jobs), checkpoint=str(path))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) - 20])
+    del _EVAL_LOG[:]
+    again = run_campaign(jobs, evaluate=_logged_ok,
+                         cache=ResultCache(disk_dir=None),
+                         checkpoint=str(path), resume=True)
+    assert len(_EVAL_LOG) == 3
+    assert [(r.skew, r.vmin_y1, r.vmin_y2) for r in again] == [
+        (r.skew, r.vmin_y1, r.vmin_y2) for r in reference
+    ]
+    assert not any(r.resumed or r.cached for r in again)
+
+
+# --------------------------------------------------------------------- #
 # Crash isolation: a killed worker breaks only its pool generation.
 # --------------------------------------------------------------------- #
 

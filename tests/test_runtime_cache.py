@@ -79,6 +79,119 @@ def test_key_resolves_default_process_and_options():
     assert implicit.key() == explicit.key()
 
 
+#: Job and prefix digests as the keying code produced them before keys
+#: were memoised; every cache entry and journal on disk is addressed by
+#: them, so they must never move.
+PINNED_KEYS = {
+    "nominal": (
+        "55943f48f6063909dc30e531803d25de6fbad431c5f7cbf41580f04de6df6808",
+        "0b16a31c17dc1a9ece015021be369ff2db213d92e3baf7ade97211f79ea16cce",
+    ),
+    "fast": (
+        "5019be2ad8d8bfed6bf02c8d989713883d103bd4b6dcb4cb1a249a99e2b0655a",
+        "364eaae68d85ed4c68f967f4ea81f83eb851980dca7cbc50059b67a51f2df6f7",
+    ),
+    "montecarlo": (
+        "a4cca159cc64024916c4b921735048ae6ec2177cdef1bd2488a9816d4d8a7fb9",
+        "84828e5bbd6f31f988ce618596b11cc514bb11b3e03f8dbc65b8b4434c943ae0",
+    ),
+    "warm": (
+        "35f93df297a5fa608bc65ea82186adac981b0d21dc4fb4e1f57de5f117340f10",
+        "c67adf4fc4b5e97ac26ab1f799a375fd81850fea3370032048e5399f9c02a0d1",
+    ),
+    "cold": (
+        "a3b3f27acbee32b778ca69cf08db22d0f5aae83b2e4fffba82f04b606a577b19",
+        "c67adf4fc4b5e97ac26ab1f799a375fd81850fea3370032048e5399f9c02a0d1",
+    ),
+}
+
+
+def _pinned_jobs():
+    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.sampling import sample_population
+    from repro.runtime import sensitivity_job
+    from repro.service.specs import FAST_OPTIONS
+
+    drawn = sample_population(3, fF(160), seed=7)[2]
+    return {
+        "nominal": SensorJob(skew=ns(0.1)),
+        "fast": sensitivity_job(fF(80), ns(0.2), ns(0.25),
+                                options=FAST_OPTIONS, warm_start=False),
+        "montecarlo": sample_job(drawn, ns(0.05), options=FAST_OPTIONS,
+                                 warm_start=True),
+        "warm": sensitivity_job(fF(240), ns(0.3), ns(0.1), warm_start=True),
+        "cold": sensitivity_job(fF(240), ns(0.3), ns(0.1), warm_start=False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+def test_job_and_prefix_keys_are_pinned(name):
+    from repro.runtime.prefix import prefix_key
+
+    job = _pinned_jobs()[name]
+    assert (job.key(), prefix_key(job)) == PINNED_KEYS[name]
+    # The memoised second answer is the same digest.
+    assert job.key() == PINNED_KEYS[name][0]
+
+
+def test_whole_tree_key_is_pinned():
+    from dataclasses import replace
+
+    from repro.clocktree.whole_tree import WholeTreeJob
+    from repro.service.specs import FAST_OPTIONS
+
+    job = WholeTreeJob(
+        levels=3, variation=0.05, seed=3,
+        options=replace(FAST_OPTIONS, jacobian_policy="auto"),
+    )
+    assert job.key() == (
+        "e475cfef0bfaf6e1e405b94b757abfa0a8f98ba36c0a1a56f77e1f37d816c2db"
+    )
+
+
+def test_key_memo_is_by_identity_not_equality():
+    """``0.0 == -0.0`` but the two skews address different entries: a
+    memo keyed by equality would hand one the other's key."""
+    assert SensorJob(skew=0.0) == SensorJob(skew=-0.0)
+    assert SensorJob(skew=0.0).key() != SensorJob(skew=-0.0).key()
+    options = TransientOptions(max_newton=50)
+    twin = TransientOptions(max_newton=50.0)
+    assert options == twin
+    assert make_job(options=options).key() != make_job(options=twin).key()
+
+
+def test_campaign_and_fold_hash_each_job_once(monkeypatch):
+    """A served repeat keys each of its 24 jobs once: the lookup pass and
+    the result fold share the memoised digest."""
+    import repro.runtime.jobs as jobs_module
+    from repro.runtime import run_campaign
+    from repro.service.specs import build_plan
+
+    spec = {"kind": "sensitivity", "loads_ff": [80.0, 160.0, 240.0],
+            "points": 8}
+    cache = ResultCache(disk_dir=None)
+    for job in build_plan(spec).jobs:  # warm the cache: every job a hit
+        cache.put(job.key(), JobResult(
+            skew=job.skew, vmin_y1=1.0, vmin_y2=2.0, code=(0, 0),
+        ).to_payload())
+
+    calls = []
+    real = jobs_module.stable_key
+
+    def counting(obj, namespace=""):
+        calls.append(namespace)
+        return real(obj, namespace=namespace)
+
+    monkeypatch.setattr(jobs_module, "stable_key", counting)
+    plan = build_plan(spec)
+    assert len(plan.jobs) == 24
+    campaign = run_campaign(plan.jobs, cache=cache, **plan.executor)
+    payload = plan.fold(campaign)
+    assert all(result.cached for result in campaign.results)
+    assert len(payload["jobs"]) == 24
+    assert len(calls) <= 24
+
+
 def test_stable_key_rejects_unhashable_junk():
     with pytest.raises(TypeError):
         stable_key(object())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import urllib.request
@@ -200,3 +201,25 @@ def test_unknown_endpoint_404(service):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request)
     assert excinfo.value.code == 404
+
+
+def test_metrics_size_stays_flat_over_many_jobs(service):
+    """The scheduler aggregates telemetry as counters and fixed-bucket
+    histograms, not one record per job: ``/metrics`` does not grow with
+    the jobs served."""
+    def metrics_bytes():
+        with urllib.request.urlopen(service.base_url + "/metrics") as answer:
+            return answer.read()
+
+    sizes = []
+    for _ in range(10):
+        record = service.submit({"kind": "synthetic", "jobs": 1000})
+        assert service.wait(record["campaign_id"], timeout=120)["state"] == "done"
+        sizes.append(len(metrics_bytes()))
+    telemetry = json.loads(metrics_bytes())["telemetry"]
+    assert telemetry["jobs"]["total"] == 10_000
+    assert telemetry["jobs"]["evaluated"] == 10_000
+    assert sum(telemetry["wall_histogram"]["counts"]) == 10_000
+    assert "records" not in telemetry
+    # Counters gain digits and timings vary in length; nothing else grows.
+    assert max(sizes) - min(sizes) < 200

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -189,3 +190,26 @@ def test_restart_scheduler_picks_up_pending(tmp_path, synthetic_kind):
     assert synthetic_kind == ["orphan"]
     scheduler.stop()
     revived_store.close()
+
+
+def test_wait_events_deadline_ignores_other_campaigns(scheduler):
+    """Events of campaign B wake the shared condition; they must not use
+    up a long poll waiting on campaign A."""
+    waiting = scheduler.submit({"kind": "synthetic"}).campaign_id
+    busy = scheduler.submit({"kind": "synthetic"}).campaign_id
+
+    def chatter():
+        for index in range(20):
+            scheduler._emit(busy, {"event": "job", "index": index})
+            time.sleep(0.02)
+
+    emitter = threading.Thread(target=chatter)
+    started = time.monotonic()
+    emitter.start()
+    events = scheduler.wait_events(waiting, 0, timeout=1.0)
+    elapsed = time.monotonic() - started
+    emitter.join()
+    assert events == []
+    assert elapsed >= 0.95
+    assert len(scheduler.events(busy)) == 20
+

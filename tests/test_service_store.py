@@ -81,6 +81,30 @@ def test_result_written_before_terminal_entry(tmp_path):
     assert replayed.load_result(cid) == {"answer": 42}
 
 
+def test_result_bytes_are_compact_and_survive_restart(tmp_path):
+    from repro.service.store import RESULT_MEMORY_ENTRIES
+
+    store = JobStore(tmp_path)
+    ids = []
+    for n in range(RESULT_MEMORY_ENTRIES + 2):
+        cid = store.submit(SPEC).campaign_id
+        store.mark_done(cid, {"n": n, "curves": [{"b": 1.5, "a": None}]})
+        ids.append(cid)
+    compact = b'{"curves":[{"a":null,"b":1.5}],"n":0}'
+    # The published file is compact sorted JSON, and GET /result sends
+    # exactly its bytes: from memory for the newest results, from the
+    # file for older ones, whose bytes no longer stay in memory.
+    assert store.result_path(ids[0]).read_bytes() == compact
+    assert store.result_bytes(ids[0]) == compact
+    assert len(store._result_bytes) == RESULT_MEMORY_ENTRIES
+    assert ids[0] not in store._result_bytes and ids[-1] in store._result_bytes
+    assert store.result_bytes(ids[-1]) == store.result_path(ids[-1]).read_bytes()
+    store.close()
+    restarted = JobStore(tmp_path)
+    assert restarted.result_bytes(ids[-1]) == store.result_bytes(ids[-1])
+    assert restarted.load_result(ids[0]) == json.loads(compact)
+
+
 def test_restart_requeues_interrupted_campaign(tmp_path):
     store = JobStore(tmp_path)
     cid = store.submit(SPEC).campaign_id
